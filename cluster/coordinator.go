@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/params"
 	"repro/internal/view"
 )
 
@@ -748,21 +748,10 @@ func shipmentK(sh parallel.Shipment[float64]) int {
 }
 
 func (c *Coordinator) handleQuantile(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("phi")
-	if raw == "" {
-		raw = "0.5"
-	}
-	var phis []float64
-	for _, part := range strings.Split(raw, ",") {
-		phi, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		// ParseFloat accepts "NaN", and NaN compares false against
-		// everything, so the range check alone would wave it through into
-		// the rank arithmetic; reject non-finite values by name.
-		if err != nil || math.IsNaN(phi) || math.IsInf(phi, 0) || phi <= 0 || phi > 1 {
-			writeError(w, http.StatusBadRequest, "bad phi %q", part)
-			return
-		}
-		phis = append(phis, phi)
+	phis, err := params.PhiList(r.URL.Query().Get("phi"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	vals, err := c.Quantiles(phis)
 	if err != nil {
@@ -777,13 +766,9 @@ func (c *Coordinator) handleQuantile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleCDF(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("v")
-	v, err := strconv.ParseFloat(raw, 64)
-	// NaN poisons the view's binary search (every comparison is false);
-	// infinities are formally orderable but signal a caller bug just the
-	// same, so the whole non-finite class is a 400.
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		writeError(w, http.StatusBadRequest, "bad v %q", raw)
+	v, err := params.FiniteFloat("v", r.URL.Query().Get("v"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	frac, err := c.CDF(v)
@@ -795,14 +780,10 @@ func (c *Coordinator) handleCDF(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHistogram(w http.ResponseWriter, r *http.Request) {
-	buckets := 10
-	if raw := r.URL.Query().Get("buckets"); raw != "" {
-		b, err := strconv.Atoi(raw)
-		if err != nil || b < 2 || b > 1000 {
-			writeError(w, http.StatusBadRequest, "bad buckets %q", raw)
-			return
-		}
-		buckets = b
+	buckets, err := params.BucketCount(r.URL.Query().Get("buckets"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	phis := make([]float64, buckets-1)
 	for i := range phis {

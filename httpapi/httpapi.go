@@ -746,6 +746,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"evicted_ttl":           ks.EvictedTTL,
 			"rejected":              ks.Rejected,
 			"total_count":           s.keyed.TotalCount(),
+			"memory_elements":       s.keyed.MemoryElements(),
 			"memory_bound_elements": s.keyed.MemoryBoundElements(),
 			"per_key_bound":         s.keyed.PerKeyMemoryBound(),
 		}

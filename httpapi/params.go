@@ -1,85 +1,13 @@
-// Query-parameter validation, unified. Every handler that reads a numeric
-// or duration parameter goes through one of these helpers, so the rules —
-// whitespace is trimmed before parsing, non-finite floats are rejected by
-// name, bounds failures are structured 400s — are identical across
-// /quantile, /cdf, /histogram, and the windowed variants. (They drifted
-// when each handler parsed inline: /quantile trimmed phi parts but /cdf
-// did not trim v, and /histogram leaned on its range check alone.)
 package httpapi
 
-import (
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
-	"time"
+import "repro/internal/params"
+
+// Query-parameter validation is shared with the cluster coordinator
+// through internal/params, so /quantile, /cdf and /histogram parse
+// identically on every role. These names bind it for this package.
+var (
+	parsePhiList     = params.PhiList
+	parseFiniteFloat = params.FiniteFloat
+	parseBucketCount = params.BucketCount
+	parseWindow      = params.Window
 )
-
-// parsePhiList parses a comma-separated quantile list. Each part is
-// trimmed, must parse as a finite float, and must lie in (0, 1]. An empty
-// raw string selects the median.
-func parsePhiList(raw string) ([]float64, error) {
-	if raw == "" {
-		raw = "0.5"
-	}
-	var phis []float64
-	for _, part := range strings.Split(raw, ",") {
-		phi, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		// ParseFloat accepts "NaN", and NaN compares false against
-		// everything, so the range check alone would wave it through into
-		// the rank arithmetic; reject the whole non-finite class by name.
-		if err != nil || math.IsNaN(phi) || math.IsInf(phi, 0) || phi <= 0 || phi > 1 {
-			return nil, fmt.Errorf("bad phi %q", part)
-		}
-		phis = append(phis, phi)
-	}
-	return phis, nil
-}
-
-// parseFiniteFloat parses a required finite float parameter (e.g. /cdf's
-// v=). NaN poisons the view's binary search (every comparison is false);
-// infinities are formally orderable but signal a caller bug just the same.
-func parseFiniteFloat(name, raw string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
-	}
-	return v, nil
-}
-
-// parseBucketCount parses /histogram's buckets= with an explicit bound
-// check: an empty raw selects the default, anything unparsable, zero,
-// negative, below 2, or above maxBuckets is a structured 400.
-const maxBuckets = 1000
-
-func parseBucketCount(raw string) (int, error) {
-	if raw == "" {
-		return 10, nil
-	}
-	b, err := strconv.Atoi(strings.TrimSpace(raw))
-	if err != nil {
-		return 0, fmt.Errorf("bad buckets %q", raw)
-	}
-	if b <= 0 {
-		return 0, fmt.Errorf("bad buckets %q: need a positive count", raw)
-	}
-	if b < 2 || b > maxBuckets {
-		return 0, fmt.Errorf("bad buckets %q: need 2..%d", raw, maxBuckets)
-	}
-	return b, nil
-}
-
-// parseWindow parses the window= duration parameter strictly: a trimmed,
-// positive Go duration ("30s", "5m"). Range-checking against the store's
-// configured span happens in the keyed layer (ErrWindowRange), which the
-// handlers also surface as 400.
-func parseWindow(raw string) (time.Duration, error) {
-	d, err := time.ParseDuration(strings.TrimSpace(raw))
-	if err != nil {
-		return 0, fmt.Errorf("bad window %q: want a Go duration like 30s or 5m", raw)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("bad window %q: need a positive duration", raw)
-	}
-	return d, nil
-}

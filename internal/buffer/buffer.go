@@ -445,11 +445,16 @@ func Walk[T cmp.Ordered](bufs []*Buffer[T], emit func(v T, lo, hi uint64) bool) 
 	mergeWalk(bufs, emit)
 }
 
-// Collapser performs Collapse operations, owning the scratch storage and the
-// even-weight parity bit that alternates between the two valid position
-// offsets on successive even-weight collapses (paper Section 3.2).
+// Collapser performs Collapse operations. It holds only persistent state:
+// the buffer capacity k, the even-weight parity bit that alternates between
+// the two valid position offsets on successive even-weight collapses (paper
+// Section 3.2), and the C/W counters. Working storage belongs to the
+// collapse that is running, not to the Collapser: the float64 radix path
+// borrows a shared arena for the length of one Collapse (see radixArena),
+// and only the generic comparison fallback — other element types, or a
+// float64 input holding NaN — allocates scratch here, on first use.
 type Collapser[T cmp.Ordered] struct {
-	scratch []T
+	k int
 	// evenLow selects offset w/2 (true) or (w+2)/2 (false) for the next
 	// even-weight collapse.
 	evenLow bool
@@ -459,18 +464,13 @@ type Collapser[T cmp.Ordered] struct {
 	Collapses uint64
 	WeightSum uint64
 
-	// Pooled tournament-merge storage, grown once and reused by every
-	// collapse so the hot path performs no per-collapse allocation.
+	// Comparison-fallback storage, nil until the first collapse that cannot
+	// take the radix path: the k-element selection (the tournament reads
+	// dst while it emits, so it cannot write in place) and the tournament's
+	// cursors and tree, each reused by every later fallback collapse.
+	scratch []T
 	cursors []cursor[T]
 	nodes   []int
-
-	// Pooled radix-collapse storage (the float64 fast path): order-preserving
-	// key images of the concatenated inputs plus ping-pong and per-element
-	// weight payload arrays. Grown once, reused by every collapse.
-	keys   []uint64
-	keyTmp []uint64
-	wts    []uint64
-	wtsTmp []uint64
 
 	// sortBaseline switches Collapse to the materialize-and-sort reference
 	// implementation. Test-only: benchmarks compare the merge against it and
@@ -487,7 +487,7 @@ type weighted[T cmp.Ordered] struct {
 
 // NewCollapser returns a Collapser for buffers of capacity k.
 func NewCollapser[T cmp.Ordered](k int) *Collapser[T] {
-	return &Collapser[T]{scratch: make([]T, k), evenLow: true}
+	return &Collapser[T]{k: k, evenLow: true}
 }
 
 // State returns the collapser's checkpointable state: the even-weight
@@ -504,8 +504,8 @@ func (c *Collapser[T]) SetState(evenLow bool, collapses, weightSum uint64) {
 }
 
 // Reset returns the collapser to its initial state (offset parity and the
-// C/W counters) while keeping every grown scratch arena, so resetting a
-// sketch does not re-pay the collapse path's allocations.
+// C/W counters). Any fallback scratch already grown is kept; the radix
+// path's arenas are shared and never held here.
 func (c *Collapser[T]) Reset() {
 	c.evenLow = true
 	c.Collapses = 0
@@ -521,7 +521,7 @@ func (c *Collapser[T]) Collapse(bufs []*Buffer[T], dst *Buffer[T]) {
 	if len(bufs) < 2 {
 		panic("buffer: Collapse needs at least two buffers")
 	}
-	k := len(c.scratch)
+	k := c.k
 	var wOut uint64
 	found := false
 	for _, b := range bufs {
@@ -553,7 +553,10 @@ func (c *Collapser[T]) Collapse(bufs []*Buffer[T], dst *Buffer[T]) {
 		c.evenLow = true
 	}
 
-	if c.sortBaseline || !c.tryRadix(bufs, first, wOut) {
+	if c.sortBaseline || !tryRadix(bufs, dst, first, wOut) {
+		if c.scratch == nil {
+			c.scratch = make([]T, 0, k)
+		}
 		out := c.scratch[:0]
 		target := first
 		emit := func(v T, lo, hi uint64) bool {
@@ -576,6 +579,7 @@ func (c *Collapser[T]) Collapse(bufs []*Buffer[T], dst *Buffer[T]) {
 			// elements and targets fit inside it.
 			panic(fmt.Sprintf("buffer: Collapse selected %d of %d elements", len(out), k))
 		}
+		copy(dst.Data, out)
 	}
 
 	for _, b := range bufs {
@@ -583,7 +587,6 @@ func (c *Collapser[T]) Collapse(bufs []*Buffer[T], dst *Buffer[T]) {
 			b.Clear()
 		}
 	}
-	copy(dst.Data, c.scratch[:k])
 	dst.Fill = k
 	dst.Weight = wOut
 	dst.State = Full
@@ -596,15 +599,15 @@ func (c *Collapser[T]) Collapse(bufs []*Buffer[T], dst *Buffer[T]) {
 // tryRadix dispatches to the float64 radix fast path, which fuses the
 // deferred leaf sorts, the weighted merge and the k-spaced selection into
 // one pass over the concatenated raw inputs. It returns true when
-// c.scratch[:k] holds the selection; any other element type, or a NaN in
+// dst.Data[:k] holds the selection; any other element type, or a NaN in
 // the inputs (whose ordering is defined by cmp.Less, not by bit pattern),
-// falls back to the generic tournament merge.
-func (c *Collapser[T]) tryRadix(bufs []*Buffer[T], first, wOut uint64) bool {
-	cf, ok := any(c).(*Collapser[float64])
+// falls back to the generic tournament merge with dst untouched.
+func tryRadix[T cmp.Ordered](bufs []*Buffer[T], dst *Buffer[T], first, wOut uint64) bool {
+	fb, ok := any(bufs).([]*Buffer[float64])
 	if !ok {
 		return false
 	}
-	return radixCollapse(cf, any(bufs).([]*Buffer[float64]), first, wOut)
+	return radixCollapse(fb, any(dst).(*Buffer[float64]), first, wOut)
 }
 
 // tournamentWalk is the Collapse-side weighted merge: a loser-tree-style

@@ -3,6 +3,7 @@ package buffer
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Radix-sorted collapse: the float64 fast path behind Collapse.
@@ -127,17 +128,72 @@ func radixSortKeysW(keys, tmp, wts, wtsTmp []uint64) (sortedKeys, sortedWts []ui
 	return ks, ws
 }
 
-// radixCollapse runs the fused sort+merge+selection for float64 buffers,
-// writing the k selected elements into c.scratch[:k]. It reads the raw
-// (possibly unsorted) buffer contents directly — the deferred leaf sorts
-// are never paid. Returns false without touching any buffer or collapser
-// state when the inputs contain NaN, whose cmp.Less ordering the bit-image
-// key cannot reproduce; Collapse then takes the comparison path.
+// radixArena is the working storage of one float64 radix collapse: the
+// order-preserving key images of the concatenated inputs, their ping-pong
+// partner, and (mixed weights only) the per-element weight payload with its
+// own partner — at most 32·b·k bytes for a b-way collapse of k-element
+// buffers. Each array grows on demand and is kept at its high-water size.
+type radixArena struct {
+	keys, keyTmp []uint64
+	wts, wtsTmp  []uint64
+}
+
+// arenas is the free list of radix arenas shared by every Collapser in the
+// process. A collapse borrows one for its duration (getArena … putArena),
+// so resident collapse scratch grows with the number of collapses in flight
+// rather than with the number of sketches: a keyed store of thousands of
+// per-key sketches (and their window slots) holds only its buffers.
 //
-// This is a free function rather than a method because Go does not allow
-// methods on an instantiated generic type; Collapse reaches it through a
-// runtime type switch in tryRadix.
-func radixCollapse(c *Collapser[float64], bufs []*Buffer[float64], first, wOut uint64) bool {
+// It is a mutex-guarded stack that never drops an arena, not a sync.Pool:
+// a Pool empties at every GC and, under the race detector, drops items at
+// random, so the next collapse would re-pay its arena allocation and the
+// zero-alloc steady state of the ingest path would not hold.
+var arenas struct {
+	mu   sync.Mutex
+	free []*radixArena
+}
+
+// getArena pops the most recently returned arena (allocating the first
+// one) and grows its key arrays to hold n elements. Arenas only grow, so
+// once each has seen the largest layout in use the steady state allocates
+// nothing.
+func getArena(n int) *radixArena {
+	arenas.mu.Lock()
+	var a *radixArena
+	if top := len(arenas.free) - 1; top >= 0 {
+		a = arenas.free[top]
+		arenas.free[top] = nil
+		arenas.free = arenas.free[:top]
+	}
+	arenas.mu.Unlock()
+	if a == nil {
+		a = new(radixArena)
+	}
+	if cap(a.keys) < n {
+		a.keys = make([]uint64, n)
+		a.keyTmp = make([]uint64, n)
+	}
+	return a
+}
+
+// putArena returns a borrowed arena to the free list.
+func putArena(a *radixArena) {
+	arenas.mu.Lock()
+	arenas.free = append(arenas.free, a)
+	arenas.mu.Unlock()
+}
+
+// radixCollapse runs the fused sort+merge+selection for float64 buffers,
+// writing the k selected elements straight into dst.Data[:k]. It reads the
+// raw (possibly unsorted) buffer contents directly — the deferred leaf
+// sorts are never paid. Every input, dst included, is copied into the
+// borrowed arena's key array, and NaN rejected, before the first write to
+// dst, so the in-place output cannot clobber an element still to be read.
+// Returns false without touching any buffer when the inputs contain NaN,
+// whose cmp.Less ordering the bit-image key cannot reproduce; Collapse
+// then takes the comparison path. Collapse reaches it through the runtime
+// type assertion in tryRadix.
+func radixCollapse(bufs []*Buffer[float64], dst *Buffer[float64], first, wOut uint64) bool {
 	n := 0
 	equal := true
 	w0 := bufs[0].Weight
@@ -147,11 +203,9 @@ func radixCollapse(c *Collapser[float64], bufs []*Buffer[float64], first, wOut u
 			equal = false
 		}
 	}
-	if cap(c.keys) < n {
-		c.keys = make([]uint64, n)
-		c.keyTmp = make([]uint64, n)
-	}
-	keys := c.keys[:0]
+	a := getArena(n)
+	defer putArena(a)
+	keys := a.keys[:0]
 	for _, b := range bufs {
 		for _, v := range b.Data[:b.Fill] {
 			if v != v { // NaN: bail before any state changes
@@ -161,13 +215,13 @@ func radixCollapse(c *Collapser[float64], bufs []*Buffer[float64], first, wOut u
 		}
 	}
 
-	k := len(c.scratch)
-	out := c.scratch[:k]
+	out := dst.Data
+	k := len(out)
 	if equal {
 		// Equal weights collapse the cum-scan to arithmetic: sorted element
 		// i occupies weighted positions [i·w0+1, (i+1)·w0], so target t maps
 		// to index (t−1)/w0.
-		sorted := radixSortKeys(keys, c.keyTmp[:n])
+		sorted := radixSortKeys(keys, a.keyTmp[:n])
 		t := first
 		for j := 0; j < k; j++ {
 			out[j] = unflipKey(sorted[(t-1)/w0])
@@ -176,17 +230,17 @@ func radixCollapse(c *Collapser[float64], bufs []*Buffer[float64], first, wOut u
 		return true
 	}
 
-	if cap(c.wts) < n {
-		c.wts = make([]uint64, n)
-		c.wtsTmp = make([]uint64, n)
+	if cap(a.wts) < n {
+		a.wts = make([]uint64, n)
+		a.wtsTmp = make([]uint64, n)
 	}
-	wts := c.wts[:0]
+	wts := a.wts[:0]
 	for _, b := range bufs {
 		for i := 0; i < b.Fill; i++ {
 			wts = append(wts, b.Weight)
 		}
 	}
-	sk, sw := radixSortKeysW(keys, c.keyTmp[:n], wts, c.wtsTmp[:n])
+	sk, sw := radixSortKeysW(keys, a.keyTmp[:n], wts, a.wtsTmp[:n])
 	t := first
 	j := 0
 	var cum uint64

@@ -18,6 +18,14 @@ import (
 // (paper Section 5); by default the first b New operations allocate
 // buffers one at a time as needed, which is the paper's "allocate the set
 // of b buffers one by one, as required" amelioration.
+//
+// A Tree's resident memory is its buffers plus O(b) bookkeeping: its
+// Collapser keeps only the parity bit and the C/W counters, and the float64
+// collapse borrows its up-to-32·b·k-byte radix arena from a free list shared
+// by every tree in the process for the length of one Collapse. Scratch thus
+// scales with the collapses in flight, not with the number of trees — what
+// lets a keyed store (one tree per key, plus one per window slot) stay near
+// the paper's #keys·b·k Group-By bound.
 type Tree[T cmp.Ordered] struct {
 	k          int
 	maxBuffers int
@@ -247,5 +255,6 @@ func (t *Tree[T]) Reset(keepAlloc bool) {
 }
 
 // MemoryElements returns the number of element slots currently allocated —
-// the paper's memory metric (Tables 1–2 report b·k).
+// the paper's memory metric (Tables 1–2 report b·k). Collapse working
+// storage is not counted: the tree never holds it between collapses.
 func (t *Tree[T]) MemoryElements() int { return len(t.bufs) * t.k }
