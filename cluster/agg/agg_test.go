@@ -246,23 +246,27 @@ func TestCheckpointRestart(t *testing.T) {
 }
 
 // TestCheckpointLevelRefusal: a checkpoint written at one tier must not
-// restore into a node configured for another.
+// restore into a node configured for another, whatever the engine.
 func TestCheckpointLevelRefusal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "agg.ckpt")
-	mt := &memTransport{}
-	a1, err := New(Config{ID: "a0", Transport: mt, Eps: 0.02, Delta: 1e-3, Level: 1, CheckpointPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a1.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = New(Config{ID: "a0", Transport: mt, Eps: 0.02, Delta: 1e-3, Level: 2, CheckpointPath: path})
-	if err == nil {
-		t.Fatal("level-2 node restored a level-1 checkpoint")
-	}
-	if !strings.Contains(err.Error(), "level") {
-		t.Fatalf("refusal does not name the level: %v", err)
+	for _, eng := range []string{"mrl99", "kll", "gk"} {
+		t.Run(eng, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "agg.ckpt")
+			mt := &memTransport{}
+			a1, err := New(Config{ID: "a0", Transport: mt, Eps: 0.02, Delta: 1e-3, Engine: eng, Level: 1, CheckpointPath: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a1.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = New(Config{ID: "a0", Transport: mt, Eps: 0.02, Delta: 1e-3, Engine: eng, Level: 2, CheckpointPath: path})
+			if err == nil {
+				t.Fatal("level-2 node restored a level-1 checkpoint")
+			}
+			if !strings.Contains(err.Error(), "level") {
+				t.Fatalf("refusal does not name the level: %v", err)
+			}
+		})
 	}
 }
 

@@ -141,17 +141,10 @@ func (cfg *Config) fillDefaults() error {
 		cfg.Registry = obs.NewRegistry()
 	}
 	// Normalize once so the upstream envelope tag and the coordinator's
-	// engine agree; mrl99 maps to the empty tag to keep legacy wire bytes.
-	name, err := engine.Normalize(cfg.Engine)
-	if err != nil {
-		return err
-	}
-	if name == engine.MRL99 {
-		cfg.Engine = ""
-	} else {
-		cfg.Engine = name
-	}
-	return nil
+	// engine agree.
+	var err error
+	cfg.Engine, err = engine.Normalize(cfg.Engine)
+	return err
 }
 
 // Aggregator is one interior node of a multi-level merge tree: a

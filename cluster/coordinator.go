@@ -16,11 +16,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	quantile "repro"
-	"repro/internal/codec"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/params"
 	"repro/internal/view"
 )
@@ -92,8 +89,9 @@ type CheckpointExtra interface {
 
 // Coordinator is the Section 6 "Processor P0" as a network service: it
 // accepts worker shipments on POST /v1/ship, deduplicates retransmissions
-// by (worker, epoch), merges through the paper's collapse tree, answers
-// aggregate queries, and checkpoints its state to disk for crash recovery.
+// by (worker, epoch), merges them into its engine's merge state (for
+// mrl99, the paper's collapse tree), answers aggregate queries, and
+// checkpoints its state to disk for crash recovery.
 //
 // Read endpoints (/quantile, /cdf, /histogram) are served from an immutable
 // merged view cached behind an atomic pointer and keyed on a version
@@ -101,26 +99,19 @@ type CheckpointExtra interface {
 // are lock-free binary searches over the frozen view, and after a shipment
 // exactly one reader rebuilds it (singleflight) while the rest wait.
 type Coordinator struct {
-	cfg  CoordinatorConfig
-	plan quantile.Plan
-	mux  *http.ServeMux
-	m    metrics
+	cfg CoordinatorConfig
+	mux *http.ServeMux
+	m   metrics
 
 	start time.Time
 
-	// engName is the normalized engine this node merges; eng is non-nil
-	// only for non-mrl99 engines — the default stack keeps the original
-	// parallel.Coordinator path (and its wire/checkpoint bytes) untouched.
+	// engName is the normalized engine this node merges.
 	engName string
 
 	mu      sync.Mutex
-	merge   *parallel.Coordinator[float64]
-	eng     engine.Engine
+	state   engine.MergeState
 	seen    map[string]map[uint64]struct{}
 	workers map[string]*WorkerStatus
-	// shipGen counts ShipAndReset cuts (aggregator mode) so every
-	// replacement merge state gets a fresh deterministic seed.
-	shipGen uint64
 	// version counts state-changing merges (accepted shipments, restores);
 	// written while holding mu, read lock-free by the query warm path.
 	version atomic.Uint64
@@ -137,13 +128,10 @@ type coordView struct {
 	version uint64
 }
 
-// NewCoordinator builds a coordinator for the given guarantees, restoring
-// state from cfg.CheckpointPath if a checkpoint exists there.
+// NewCoordinator builds a coordinator for the given guarantees and engine
+// (engine.NewMergeState), restoring state from cfg.CheckpointPath if a
+// checkpoint exists there.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	plan, err := quantile.PlanUnknownN(cfg.Eps, cfg.Delta)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.CheckpointInterval <= 0 {
 		cfg.CheckpointInterval = 30 * time.Second
 	}
@@ -163,10 +151,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	state, err := engine.NewMergeState(engName, cfg.Eps, cfg.Delta, cfg.Seed^0xc00d, cfg.Level)
+	if err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
 		cfg:     cfg,
-		plan:    plan,
 		mux:     http.NewServeMux(),
+		state:   state,
 		engName: engName,
 		start:   cfg.Clock.Now(),
 		seen:    make(map[string]map[uint64]struct{}),
@@ -175,18 +167,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.m = newMetrics(cfg.Registry,
 		func() float64 { return c.cfg.Clock.Now().Sub(c.start).Seconds() },
 		c.workerSnapshot)
-	if engName != engine.MRL99 {
-		c.eng, err = engine.New(engName, cfg.Eps, cfg.Delta, cfg.Seed^0xc00d)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		c.merge, err = parallel.NewCoordinator[float64](plan.K, plan.B, cfg.Seed^0xc00d)
-		if err != nil {
-			return nil, err
-		}
-		c.merge.SetLevel(cfg.Level)
-	}
 	if cfg.CheckpointPath != "" {
 		if err := c.restore(cfg.CheckpointPath); err != nil {
 			return nil, err
@@ -212,16 +192,7 @@ func (c *Coordinator) Registry() *obs.Registry { return c.cfg.Registry }
 func (c *Coordinator) Count() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.countLocked()
-}
-
-// countLocked reads the aggregate count from whichever merge state this
-// node runs. Callers hold c.mu.
-func (c *Coordinator) countLocked() uint64 {
-	if c.eng != nil {
-		return c.eng.Count()
-	}
-	return c.merge.Count()
+	return c.state.Count()
 }
 
 // Summary is a point-in-time description of the merge state, shared by
@@ -239,29 +210,28 @@ type Summary struct {
 func (c *Coordinator) Summarize() Summary {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.eng != nil {
-		return Summary{
-			Count:          c.eng.Count(),
-			MemoryElements: c.eng.MemoryElements(),
-			Children:       len(c.workers),
-			Engine:         c.engName,
-		}
-	}
-	return Summary{
-		Count:          c.merge.Count(),
-		MemoryElements: c.merge.MemoryElements(),
-		MergeHeight:    c.merge.MergeHeight(),
+	s := Summary{
+		Count:          c.state.Count(),
+		MemoryElements: c.state.MemoryElements(),
 		Children:       len(c.workers),
-		B:              c.plan.B,
-		K:              c.plan.K,
 		Engine:         c.engName,
 	}
+	// Collapse-tree merge states (MRL99) also report h′ and their layout.
+	if t, ok := c.state.(interface {
+		MergeHeight() int
+		Layout() (b, k int)
+	}); ok {
+		s.MergeHeight = t.MergeHeight()
+		s.B, s.K = t.Layout()
+	}
+	return s
 }
 
-// ShipAndReset collapses the merged state into a single shipment blob (as
-// codec.MarshalShipment bytes) and installs a fresh, empty merge state in
-// its place, returning the blob and the element count it represents. An
-// empty aggregate returns (nil, 0, nil) — no epoch should be cut.
+// ShipAndReset collapses the merged state into a single shipment blob (for
+// mrl99, codec.MarshalShipment bytes) and installs a fresh, empty merge
+// state in its place, returning the blob and the element count it
+// represents. An empty aggregate returns (nil, 0, nil) — no epoch should
+// be cut.
 //
 // This is the aggregator half-turn: everything the node accepted from its
 // children since the last cut moves upstream as one summary whose size is
@@ -269,36 +239,12 @@ func (c *Coordinator) Summarize() Summary {
 // a child retransmitting an old epoch after our cut must still be refused.
 func (c *Coordinator) ShipAndReset() ([]byte, uint64, error) {
 	c.mu.Lock()
-	if c.eng != nil {
-		blob, count, err := c.eng.Ship()
-		if count > 0 {
-			c.version.Add(1) // queries now answer from the emptied state
-		}
-		c.mu.Unlock()
-		return blob, count, err
+	defer c.mu.Unlock()
+	blob, count, err := c.state.Ship()
+	if count > 0 {
+		c.version.Add(1) // queries now answer from the emptied state
 	}
-	if c.merge.Count() == 0 {
-		c.mu.Unlock()
-		return nil, 0, nil
-	}
-	c.shipGen++
-	fresh, err := parallel.NewCoordinator[float64](c.plan.K, c.plan.B,
-		c.cfg.Seed^0xc00d^(c.shipGen*0x9e3779b97f4a7c15))
-	if err != nil {
-		c.mu.Unlock()
-		return nil, 0, err
-	}
-	fresh.SetLevel(c.cfg.Level)
-	sh := c.merge.Ship() // consumes the old merge state
-	c.merge = fresh
-	c.version.Add(1) // queries now answer from the (empty) new window
-	c.mu.Unlock()
-
-	blob, err := codec.MarshalShipment(sh, codec.Float64())
-	if err != nil {
-		return nil, 0, err
-	}
-	return blob, sh.Count, nil
+	return blob, count, err
 }
 
 // workerSnapshot copies the per-worker status table plus the scrape
@@ -335,13 +281,7 @@ func (c *Coordinator) view() (*view.View[float64], error) {
 	begin := c.cfg.Clock.Now()
 	c.mu.Lock()
 	ver = c.version.Load()
-	var v *view.View[float64]
-	var err error
-	if c.eng != nil {
-		v, err = c.eng.View()
-	} else {
-		v, err = c.merge.View()
-	}
+	v, err := c.state.View()
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -421,14 +361,7 @@ func (c *Coordinator) CheckpointNow() error {
 		return fmt.Errorf("cluster: no checkpoint path configured")
 	}
 	c.mu.Lock()
-	var blob []byte
-	var blobErr error
-	var st parallel.CoordState[float64]
-	if c.eng != nil {
-		blob, blobErr = c.eng.Checkpoint()
-	} else {
-		st = c.merge.Snapshot()
-	}
+	blob, err := c.state.Checkpoint()
 	seen := make(map[string][]uint64, len(c.seen))
 	for id, epochs := range c.seen {
 		list := make([]uint64, 0, len(epochs))
@@ -443,14 +376,10 @@ func (c *Coordinator) CheckpointNow() error {
 	}
 	c.mu.Unlock()
 
-	if c.eng == nil {
-		blob, blobErr = codec.MarshalCoordinator(st, codec.Float64())
-	}
-	if blobErr != nil {
+	if err != nil {
 		c.m.checkpointErrors.Inc()
-		return blobErr
+		return err
 	}
-	var err error
 	var extra json.RawMessage
 	if c.cfg.CheckpointExtra != nil {
 		if extra, err = c.cfg.CheckpointExtra.Save(); err != nil {
@@ -528,26 +457,14 @@ func (c *Coordinator) restore(path string) error {
 		return fmt.Errorf("cluster: checkpoint %s was written with engine %q, node runs engine %q",
 			path, fileEng, c.engName)
 	}
-	if c.eng != nil {
-		if err := c.eng.Restore(f.Merge); err != nil {
-			return fmt.Errorf("cluster: checkpoint %s: %w", path, err)
-		}
-	} else {
-		st, err := codec.UnmarshalCoordinator(f.Merge, codec.Float64())
-		if err != nil {
-			return fmt.Errorf("cluster: checkpoint %s: %w", path, err)
-		}
-		// Restoring state across tiers would splice a differently-budgeted
-		// summary into the tree; the codec-level tag makes that a refusal.
-		if st.Level != c.cfg.Level {
-			return fmt.Errorf("cluster: checkpoint %s was written at level %d, node runs at level %d",
-				path, st.Level, c.cfg.Level)
-		}
-		merge, err := parallel.RestoreCoordinator(st)
-		if err != nil {
-			return fmt.Errorf("cluster: checkpoint %s: %w", path, err)
-		}
-		c.merge = merge
+	// Restoring state across tiers would splice a differently-budgeted
+	// summary into the tree, whatever the engine.
+	if f.Level != c.cfg.Level {
+		return fmt.Errorf("cluster: checkpoint %s was written at level %d, node runs at level %d",
+			path, f.Level, c.cfg.Level)
+	}
+	if err := c.state.Restore(f.Merge); err != nil {
+		return fmt.Errorf("cluster: checkpoint %s: %w", path, err)
 	}
 	c.seen = make(map[string]map[uint64]struct{}, len(f.Seen))
 	for id, list := range f.Seen {
@@ -563,7 +480,7 @@ func (c *Coordinator) restore(path string) error {
 		c.workers[id] = &w
 	}
 	c.version.Add(1)
-	count := c.countLocked()
+	count := c.state.Count()
 	c.m.elements.Add(count)
 	if c.cfg.CheckpointExtra != nil && len(f.Extra) > 0 {
 		if err := c.cfg.CheckpointExtra.Load(f.Extra); err != nil {
@@ -654,57 +571,27 @@ func (c *Coordinator) Ingest(env Envelope) (int, ShipResult) {
 			"worker %s ships engine %q, coordinator runs engine %q",
 			env.Worker, envEng, c.engName)
 	}
-	var sh parallel.Shipment[float64]
-	if c.eng == nil {
-		var err error
-		sh, err = codec.UnmarshalShipment(env.Blob, codec.Float64())
-		if err != nil {
-			return reject(http.StatusBadRequest, "decoding shipment: %v", err)
-		}
-		if sh.Count != env.Count {
-			return reject(http.StatusBadRequest, "envelope count %d != shipment count %d", env.Count, sh.Count)
-		}
-		if k := shipmentK(sh); k != 0 && k != c.plan.K {
-			return reject(http.StatusConflict, "worker buffer size %d != coordinator %d", k, c.plan.K)
-		}
-	}
 
 	c.mu.Lock()
 	if _, dup := c.seen[env.Worker][env.Epoch]; dup {
 		ws := c.workers[env.Worker]
 		ws.Duplicates++
-		total := c.countLocked()
+		total := c.state.Count()
 		c.mu.Unlock()
 		c.m.shipmentsDeduped.Inc()
 		return http.StatusOK, ShipResult{Status: StatusDuplicate, Count: total}
 	}
 	begin := c.cfg.Clock.Now()
-	if c.eng != nil {
-		// Engine.Merge decodes and validates the whole blob (including the
-		// envelope-count cross-check) before mutating, so a failed merge
-		// needs no rollback.
-		if _, err := c.eng.Merge(env.Blob, env.Count); err != nil {
-			c.mu.Unlock()
-			c.m.shipmentsRejected.Inc()
-			status := http.StatusBadRequest
-			if engine.Incompatible(err) {
-				status = http.StatusConflict
-			}
-			return status, ShipResult{Status: StatusRejected, Error: fmt.Sprintf("merging shipment: %v", err)}
+	// Merge decodes and validates the whole blob (including the
+	// envelope-count cross-check) and leaves the aggregate untouched when
+	// it fails.
+	if _, err := c.state.Merge(env.Blob, env.Count); err != nil {
+		c.mu.Unlock()
+		status := http.StatusBadRequest
+		if engine.Incompatible(err) {
+			status = http.StatusConflict
 		}
-	} else {
-		// Receive mutates state before it can fail on a pathological
-		// shipment, so snapshot first and roll back on error — a rejected
-		// shipment must leave the aggregate untouched.
-		undo := c.merge.Snapshot()
-		if err := c.merge.Receive(sh); err != nil {
-			if rb, rerr := parallel.RestoreCoordinator(undo); rerr == nil {
-				c.merge = rb
-			}
-			c.mu.Unlock()
-			c.m.shipmentsRejected.Inc()
-			return http.StatusConflict, ShipResult{Status: StatusRejected, Error: fmt.Sprintf("merging shipment: %v", err)}
-		}
+		return reject(status, "merging shipment: %v", err)
 	}
 	c.m.mergeSeconds.Add(c.cfg.Clock.Now().Sub(begin).Seconds())
 	c.m.merges.Inc()
@@ -723,7 +610,7 @@ func (c *Coordinator) Ingest(env Envelope) (int, ShipResult) {
 	ws.LastSeen = c.cfg.Clock.Now()
 	ws.Count += env.Count
 	ws.Shipments++
-	total := c.countLocked()
+	total := c.state.Count()
 	c.version.Add(1) // invalidate the cached query view
 	c.mu.Unlock()
 
@@ -733,18 +620,6 @@ func (c *Coordinator) Ingest(env Envelope) (int, ShipResult) {
 	c.cfg.Logger.Info("accepted shipment",
 		"worker", env.Worker, "epoch", env.Epoch, "elements", env.Count, "total", total)
 	return http.StatusOK, ShipResult{Status: StatusAccepted, Count: total}
-}
-
-// shipmentK reports the buffer size a shipment was built with (0 if it
-// carries no buffers).
-func shipmentK(sh parallel.Shipment[float64]) int {
-	if sh.Full != nil {
-		return sh.Full.K()
-	}
-	if sh.Partial != nil {
-		return sh.Partial.K()
-	}
-	return 0
 }
 
 func (c *Coordinator) handleQuantile(w http.ResponseWriter, r *http.Request) {
@@ -824,7 +699,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
-	count := c.countLocked()
+	count := c.state.Count()
 	workers := make(map[string]WorkerStatus, len(c.workers))
 	for id, ws := range c.workers {
 		workers[id] = *ws

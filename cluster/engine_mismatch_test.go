@@ -33,11 +33,11 @@ func TestEngineMismatchShipmentRejected(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	e, err := engine.New(engine.GK, testEps, testDelta, 5)
+	e, err := engine.NewIngest(engine.GK, testEps, testDelta, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewEngineWorker(engine.Guard(e), WorkerConfig{
+	w, err := NewWorker(e, WorkerConfig{
 		ID:             "w-gk",
 		CoordinatorURL: srv.URL,
 		BackoffBase:    time.Millisecond,
@@ -89,11 +89,11 @@ func TestEngineClusterEndToEnd(t *testing.T) {
 			srv := httptest.NewServer(coord.Handler())
 			defer srv.Close()
 
-			e, err := engine.New(name, testEps, testDelta, 9)
+			e, err := engine.NewIngest(name, testEps, testDelta, 0, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := NewEngineWorker(engine.Guard(e), WorkerConfig{
+			w, err := NewWorker(e, WorkerConfig{
 				ID:             "w0",
 				CoordinatorURL: srv.URL,
 				BackoffBase:    time.Millisecond,

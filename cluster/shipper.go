@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -50,10 +51,10 @@ type ShipperConfig struct {
 	Seed uint64
 
 	// Engine names the sketch engine whose blobs this node ships; empty
-	// means the default MRL99 stack (and keeps the wire bytes identical
-	// to pre-engine nodes). The parent refuses mixed-engine shipments
-	// with a permanent rejection, so a misconfigured node drops rather
-	// than retries.
+	// means the default MRL99 stack. MRL99 envelopes go out untagged
+	// either way, keeping the wire bytes identical to pre-engine nodes.
+	// The parent refuses mixed-engine shipments with a permanent
+	// rejection, so a misconfigured node drops rather than retries.
 	Engine string
 
 	// Logger receives structured operational logs; nil discards them.
@@ -103,6 +104,9 @@ func (cfg *ShipperConfig) fillDefaults() error {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
+	}
+	if cfg.Engine == engine.MRL99 {
+		cfg.Engine = ""
 	}
 	return nil
 }

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	quantile "repro"
 	"repro/cluster"
 	"repro/cluster/agg"
 	"repro/internal/engine"
@@ -115,9 +114,9 @@ type Config struct {
 	// layout.
 	Aggregators int
 
-	// Shards is each worker's concurrent-sketch shard count (default 1;
-	// the simulation feeds single-threaded, so one shard keeps blobs
-	// minimal without changing guarantees).
+	// Shards is each mrl99 worker's concurrent-sketch shard count
+	// (default 1; the simulation feeds single-threaded, so one shard keeps
+	// blobs minimal without changing guarantees).
 	Shards int
 
 	// Faults is the network fault plan, applied to every hop.
@@ -228,25 +227,14 @@ func New(cfg Config) (*Cluster, error) {
 			BackoffMax:  160 * time.Millisecond,
 			Logger:      cl.logger(),
 		}
-		var w *cluster.Worker
-		if engName != engine.MRL99 {
-			e, err := engine.New(engName, cfg.Eps, cfg.Delta,
-				cfg.Seed+uint64(i)*0x9e3779b97f4a7c15+1)
-			if err != nil {
-				return nil, err
-			}
-			if w, err = cluster.NewEngineWorker(engine.Guard(e), wcfg); err != nil {
-				return nil, err
-			}
-		} else {
-			sk, err := quantile.NewConcurrent[float64](cfg.Eps, cfg.Delta, cfg.Shards,
-				quantile.WithSeed(cfg.Seed+uint64(i)*0x9e3779b97f4a7c15+1))
-			if err != nil {
-				return nil, err
-			}
-			if w, err = cluster.NewWorker(sk, wcfg); err != nil {
-				return nil, err
-			}
+		ing, err := engine.NewIngest(engName, cfg.Eps, cfg.Delta, cfg.Shards,
+			cfg.Seed+uint64(i)*0x9e3779b97f4a7c15+1)
+		if err != nil {
+			return nil, err
+		}
+		w, err := cluster.NewWorker(ing, wcfg)
+		if err != nil {
+			return nil, err
 		}
 		cl.workers = append(cl.workers, w)
 		dest := cl.rootNode

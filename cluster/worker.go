@@ -8,6 +8,7 @@ import (
 	"time"
 
 	quantile "repro"
+	"repro/internal/codec"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -123,32 +124,38 @@ type WorkerStats struct {
 	Pending int    // epochs cut but not yet acknowledged
 }
 
-// Worker wraps a concurrent sketch and periodically ships its contents to
-// a coordinator: the paper's Section 6 worker as a long-lived node. Local
-// ingest (Sketch().Add, or the httpapi surface sharing the same sketch)
-// continues unblocked while shipments are in flight; each epoch's summary
-// is a few kilobytes regardless of how much data the window carried.
+// Worker wraps an engine's ingest surface and periodically ships its
+// contents to a coordinator: the paper's Section 6 worker as a long-lived
+// node. Local ingest (AddAll, or the httpapi surface sharing the same
+// ingest surface) continues unblocked while shipments are in flight; each
+// epoch's summary is a few kilobytes regardless of how much data the
+// window carried.
 //
 // The queueing, retry and backoff machinery lives in Shipper, shared with
 // the aggregation tier; Worker contributes the sketch-cutting half.
 type Worker struct {
-	cfg    WorkerConfig
-	sketch *quantile.Concurrent[float64] // MRL99 workers
-	eng    *engine.Guarded               // non-MRL99 workers
-	ship   *Shipper
+	cfg  WorkerConfig
+	ing  engine.Ingest
+	ship *Shipper
 }
 
-// NewWorker wraps sketch in a shipping worker. The sketch's eps/delta must
-// match the coordinator's or every shipment will be rejected.
-func NewWorker(sketch *quantile.Concurrent[float64], cfg WorkerConfig) (*Worker, error) {
-	if sketch == nil {
-		return nil, fmt.Errorf("cluster: worker needs a sketch")
+// NewWorker wraps an ingest surface — the MRL99 *quantile.Concurrent
+// sketch, or a guarded KLL or GK engine — in a shipping worker. Its
+// envelopes carry the engine's tag (MRL99's go out untagged, as before
+// engines existed), so a coordinator running a different engine refuses
+// them permanently instead of trying to decode foreign bytes. The ingest
+// surface's eps/delta must match the coordinator's or every shipment will
+// be rejected.
+func NewWorker(ing engine.Ingest, cfg WorkerConfig) (*Worker, error) {
+	if ing == nil {
+		return nil, fmt.Errorf("cluster: worker needs an ingest surface")
 	}
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	ship, err := NewShipper(ShipperConfig{
 		ID:          cfg.ID,
+		Engine:      ing.EngineName(),
 		Transport:   cfg.Transport,
 		Clock:       cfg.Clock,
 		MaxRetries:  cfg.MaxRetries,
@@ -162,55 +169,18 @@ func NewWorker(sketch *quantile.Concurrent[float64], cfg WorkerConfig) (*Worker,
 	if err != nil {
 		return nil, err
 	}
-	return &Worker{cfg: cfg, sketch: sketch, ship: ship}, nil
+	return &Worker{cfg: cfg, ing: ing, ship: ship}, nil
 }
 
-// NewEngineWorker wraps a guarded non-MRL99 engine in a shipping worker.
-// Every envelope it cuts is tagged with the engine's name, so a
-// coordinator running a different engine refuses it permanently instead of
-// trying to decode foreign bytes. The engine's eps/delta must still match
-// the coordinator's.
-func NewEngineWorker(eng *engine.Guarded, cfg WorkerConfig) (*Worker, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("cluster: worker needs an engine")
-	}
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
-	ship, err := NewShipper(ShipperConfig{
-		ID:          cfg.ID,
-		Engine:      eng.EngineName(),
-		Transport:   cfg.Transport,
-		Clock:       cfg.Clock,
-		MaxRetries:  cfg.MaxRetries,
-		BackoffBase: cfg.BackoffBase,
-		BackoffMax:  cfg.BackoffMax,
-		MaxPending:  cfg.MaxPending,
-		Seed:        cfg.Seed,
-		Logger:      cfg.Logger,
-		Registry:    cfg.Registry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Worker{cfg: cfg, eng: eng, ship: ship}, nil
+// Sketch returns the wrapped MRL99 sketch (shared with local ingest
+// surfaces); nil for KLL and GK workers.
+func (w *Worker) Sketch() *quantile.Concurrent[float64] {
+	c, _ := w.ing.(*quantile.Concurrent[float64])
+	return c
 }
 
-// Sketch returns the wrapped sketch (shared with local ingest surfaces);
-// nil for engine workers.
-func (w *Worker) Sketch() *quantile.Concurrent[float64] { return w.sketch }
-
-// Engine returns the wrapped guarded engine; nil for MRL99 workers.
-func (w *Worker) Engine() *engine.Guarded { return w.eng }
-
-// AddAll ingests a batch into whichever sketch this worker wraps.
-func (w *Worker) AddAll(vs []float64) {
-	if w.eng != nil {
-		w.eng.AddAll(vs)
-		return
-	}
-	w.sketch.AddAll(vs)
-}
+// AddAll ingests a batch.
+func (w *Worker) AddAll(vs []float64) { w.ing.AddAll(vs) }
 
 // Registry returns the registry carrying the worker's shipping metrics.
 func (w *Worker) Registry() *obs.Registry { return w.cfg.Registry }
@@ -245,10 +215,7 @@ func (w *Worker) Run(ctx context.Context) {
 // stay queued for the next cycle; the coordinator's (worker, epoch) dedup
 // makes redelivery after a lost acknowledgement harmless.
 func (w *Worker) ShipOnce(ctx context.Context) error {
-	if w.eng != nil {
-		return w.ship.ShipCycle(ctx, w.eng.Epsilon(), w.eng.Delta(), w.eng.Ship)
-	}
-	return w.ship.ShipCycle(ctx, w.sketch.Epsilon(), w.sketch.Delta(), func() ([]byte, uint64, error) {
-		return w.sketch.ShipAndReset(quantile.Float64Codec())
+	return w.ship.ShipCycle(ctx, w.ing.Epsilon(), w.ing.Delta(), func() ([]byte, uint64, error) {
+		return w.ing.ShipAndReset(codec.Float64())
 	})
 }

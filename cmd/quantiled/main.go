@@ -84,7 +84,6 @@ import (
 	"syscall"
 	"time"
 
-	quantile "repro"
 	"repro/cluster"
 	"repro/cluster/agg"
 	"repro/httpapi"
@@ -132,7 +131,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.Float64Var(&cfg.eps, "eps", 0.01, "rank-error bound")
 	fs.Float64Var(&cfg.delta, "delta", 1e-4, "failure probability")
-	fs.IntVar(&cfg.shards, "shards", 0, "concurrency shards (0 = default)")
+	fs.IntVar(&cfg.shards, "shards", 0, "concurrency shards (0 = default; mrl99 ingest roles)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "random seed")
 	fs.StringVar(&cfg.engine, "engine", "mrl99", "sketch engine: mrl99, kll or gk (every node in one tree must agree)")
 	fs.IntVar(&cfg.keysMax, "keys-max", httpapi.DefaultMaxKeys, "keyed-store key cap: distinct keys resident before LRU eviction (mrl99 ingest roles)")
@@ -206,23 +205,26 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	if cfg.ingestFormat == "binary" && cfg.role != "worker" && cfg.role != "aggregator" {
 		return cfg, fmt.Errorf("-ingest-format is only meaningful for roles that ship upstream (role is %q)", cfg.role)
 	}
-	// The keyed store lives on the mrl99 ingest surface (standalone and
-	// worker roles); reject explicit keyed flags anywhere they would be
-	// silently ignored.
-	keyedFlagSet := ""
+	// Sharding and the keyed store live on the mrl99 ingest surface
+	// (standalone and worker roles); reject explicit flags for them
+	// anywhere they would be silently ignored.
+	mrl99FlagSet := ""
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "keys-max", "key-ttl", "key-shards", "window", "window-epochs":
-			keyedFlagSet = "-" + f.Name
+		case "shards", "keys-max", "key-ttl", "key-shards", "window", "window-epochs":
+			mrl99FlagSet = "-" + f.Name
 		}
 	})
-	if keyedFlagSet != "" {
+	if mrl99FlagSet != "" {
 		if cfg.role != "standalone" && cfg.role != "worker" {
-			return cfg, fmt.Errorf("%s is only meaningful for roles with an ingest surface (role is %q)", keyedFlagSet, cfg.role)
+			return cfg, fmt.Errorf("%s is only meaningful for roles with an ingest surface (role is %q)", mrl99FlagSet, cfg.role)
 		}
 		if cfg.engine != engine.MRL99 {
-			return cfg, fmt.Errorf("%s requires -engine mrl99 (engine servers have no keyed store)", keyedFlagSet)
+			return cfg, fmt.Errorf("%s requires -engine mrl99 (kll and gk servers are neither sharded nor keyed)", mrl99FlagSet)
 		}
+	}
+	if cfg.shards < 0 {
+		return cfg, fmt.Errorf("-shards %d invalid: want a positive shard count (or 0 for the default)", cfg.shards)
 	}
 	if cfg.keysMax < 1 {
 		return cfg, fmt.Errorf("-keys-max %d invalid: the keyed store needs a positive key cap", cfg.keysMax)
@@ -274,28 +276,23 @@ type service struct {
 }
 
 // newIngestServer builds the ingest-surface HTTP server for the selected
-// engine: the sharded concurrent sketch for mrl99, a guarded engine
-// otherwise.
+// engine, with the keyed store sized from the flags where the engine has
+// one (mrl99).
 func newIngestServer(cfg config, logger *slog.Logger) (*httpapi.Server, error) {
-	var srv *httpapi.Server
-	var err error
-	if cfg.engine == engine.MRL99 {
-		srv, err = httpapi.New(cfg.eps, cfg.delta, cfg.shards, quantile.WithSeed(cfg.seed))
-		if err == nil {
-			err = srv.SetKeyed(httpapi.KeyedConfig{
-				MaxKeys:      cfg.keysMax,
-				TTL:          cfg.keyTTL,
-				Shards:       cfg.keyShards,
-				Seed:         cfg.seed,
-				Window:       cfg.window,
-				WindowEpochs: cfg.windowEpochs,
-			})
-		}
-	} else {
-		var e engine.Engine
-		if e, err = engine.New(cfg.engine, cfg.eps, cfg.delta, cfg.seed); err == nil {
-			srv, err = httpapi.NewEngine(engine.Guard(e))
-		}
+	ing, err := engine.NewIngest(cfg.engine, cfg.eps, cfg.delta, cfg.shards, cfg.seed)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := httpapi.NewEngine(ing)
+	if err == nil && srv.Keyed() != nil {
+		err = srv.SetKeyed(httpapi.KeyedConfig{
+			MaxKeys:      cfg.keysMax,
+			TTL:          cfg.keyTTL,
+			Shards:       cfg.keyShards,
+			Seed:         cfg.seed,
+			Window:       cfg.window,
+			WindowEpochs: cfg.windowEpochs,
+		})
 	}
 	if err != nil {
 		return nil, err
@@ -394,12 +391,7 @@ func newRoleService(cfg config, logger *slog.Logger) (*service, error) {
 			// the worker's GET /metrics covers both.
 			Registry: srv.Registry(),
 		}
-		var w *cluster.Worker
-		if cfg.engine == engine.MRL99 {
-			w, err = cluster.NewWorker(srv.Sketch(), wcfg)
-		} else {
-			w, err = cluster.NewEngineWorker(srv.Engine(), wcfg)
-		}
+		w, err := cluster.NewWorker(srv.Ingest(), wcfg)
 		if err != nil {
 			return nil, err
 		}

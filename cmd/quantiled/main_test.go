@@ -34,6 +34,32 @@ func TestParseFlagsRoles(t *testing.T) {
 	}
 }
 
+// TestParseFlagsShards: -shards sizes the mrl99 ingest sketch only, so an
+// explicit value is refused wherever it would be silently ignored, and a
+// negative count is refused rather than turned into the default.
+func TestParseFlagsShards(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shards", "4"},
+		{"-shards", "0"},
+		{"-role", "worker", "-coordinator", "http://c", "-shards", "2"},
+	} {
+		if _, err := parseFlags(args, io.Discard); err != nil {
+			t.Errorf("parseFlags(%v): %v", args, err)
+		}
+	}
+	for _, args := range [][]string{
+		{"-shards", "-1"},
+		{"-engine", "kll", "-shards", "4"},
+		{"-engine", "gk", "-shards", "4"},
+		{"-role", "coordinator", "-shards", "4"},
+		{"-role", "aggregator", "-parent", "http://p", "-shards", "4"},
+	} {
+		if _, err := parseFlags(args, io.Discard); err == nil {
+			t.Errorf("parseFlags(%v) accepted", args)
+		}
+	}
+}
+
 func TestParseFlagsAggregator(t *testing.T) {
 	cfg, err := parseFlags([]string{"-role", "aggregator", "-parent", "http://localhost:9090", "-addr", ":9091"}, io.Discard)
 	if err != nil {

@@ -318,6 +318,10 @@ func (c *Concurrent[T]) Epsilon() float64 { return c.eps }
 // Delta returns the configured failure probability.
 func (c *Concurrent[T]) Delta() float64 { return c.delta }
 
+// EngineName returns "mrl99": a Concurrent is the MRL99 engine's ingest
+// surface in the serving layers' engine registry.
+func (c *Concurrent[T]) EngineName() string { return "mrl99" }
+
 // Shards returns the number of ingest shards.
 func (c *Concurrent[T]) Shards() int { return len(c.shards) }
 

@@ -14,11 +14,11 @@ import (
 
 func newEngineServer(t *testing.T, name string) (*Server, *httptest.Server) {
 	t.Helper()
-	e, err := engine.New(name, 0.02, 1e-3, 1)
+	e, err := engine.NewIngest(name, 0.02, 1e-3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewEngine(engine.Guard(e))
+	s, err := NewEngine(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package httpapi exposes a quantile summary as an HTTP service: a
 // lightweight sidecar for dashboards, load generators or anything that
-// wants streaming percentiles without linking the library. It wraps a
-// goroutine-safe sharded sketch, so concurrent ingest and query requests
-// are fine.
+// wants streaming percentiles without linking the library. It wraps an
+// engine's goroutine-safe ingest surface — by default the MRL99 sharded
+// sketch — so concurrent ingest and query requests are fine.
 //
 // Endpoints (JSON responses unless noted):
 //
@@ -15,12 +15,12 @@
 //	GET  /stats
 //	GET  /metrics          Prometheus text format
 //
-// MRL99 servers (New) additionally run a multi-tenant keyed sketch store:
-// keyed slab frames route each slab to its key's sketch, and `key=` on
-// /quantile and /cdf serves that key's summary from a per-key cached view.
-// Memory is bounded by LRU capacity and TTL eviction (SetKeyed); the store
-// answers 404 for unknown/evicted keys and 429 when a full store rejects
-// new keys. Engine servers (NewEngine) answer 501 on the keyed surface.
+// MRL99 servers additionally run a multi-tenant keyed sketch store: keyed
+// slab frames route each slab to its key's sketch, and `key=` on /quantile
+// and /cdf serves that key's summary from a per-key cached view. Memory is
+// bounded by LRU capacity and TTL eviction (SetKeyed); the store answers
+// 404 for unknown/evicted keys and 429 when a full store rejects new keys.
+// KLL and GK servers answer 501 on the keyed surface.
 //
 // Every endpoint is instrumented: request/error counters, latency
 // histograms and in-flight gauges per endpoint, plus sketch-level gauges
@@ -94,13 +94,10 @@ type KeyedConfig struct {
 // stays modest.
 const DefaultWindowEpochs = 10
 
-// Server wraps a concurrent sketch behind HTTP endpoints.
+// Server wraps an engine's ingest surface behind HTTP endpoints.
 type Server struct {
-	sketch  *quantile.Concurrent[float64] // MRL99 servers (New)
-	eng     *engine.Guarded               // engine servers (NewEngine)
+	ing     engine.Ingest
 	keyed   *keyed.Store[string, float64] // per-key store (MRL99 servers)
-	eps     float64
-	delta   float64
 	maxBody int64
 	start   time.Time
 	mux     *http.ServeMux
@@ -112,15 +109,27 @@ type Server struct {
 	clock func() time.Time
 }
 
-// New returns a Server with the given guarantees and shard count
+// New returns an MRL99 Server with the given guarantees and shard count
 // (0 selects the default).
 func New(eps, delta float64, shards int, opts ...quantile.Option) (*Server, error) {
 	c, err := quantile.NewConcurrent[float64](eps, delta, shards, opts...)
 	if err != nil {
 		return nil, err
 	}
+	return NewEngine(c)
+}
+
+// NewEngine serves an engine's ingest surface (see engine.NewIngest), which
+// may be shared with other in-process users — a cluster worker shipping
+// its windows, say. An MRL99 surface (*quantile.Concurrent) also gets the
+// view-cache metrics and a default keyed store; KLL and GK servers have no
+// keyed store.
+func NewEngine(ing engine.Ingest) (*Server, error) {
+	if ing == nil {
+		return nil, fmt.Errorf("httpapi: nil ingest surface")
+	}
 	s := &Server{
-		sketch: c, eps: eps, delta: delta,
+		ing:     ing,
 		maxBody: DefaultMaxBodyBytes,
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
@@ -129,15 +138,19 @@ func New(eps, delta float64, shards int, opts ...quantile.Option) (*Server, erro
 		clock:   time.Now,
 	}
 	s.routes()
-	s.reg.CounterFunc("sketch_elements_total", "Stream elements consumed by the sketch.", s.sketch.Count)
+	s.reg.CounterFunc("sketch_elements_total", "Stream elements consumed by the sketch.", ing.Count)
 	s.reg.GaugeFunc("sketch_memory_elements", "Elements resident in sketch buffers (the paper's space bound).",
-		func() float64 { return float64(s.sketch.MemoryElements()) })
+		func() float64 { return float64(ing.MemoryElements()) })
+	c := s.Sketch()
+	if c == nil {
+		return s, nil
+	}
 	s.reg.CounterFunc("sketch_view_hits_total", "Queries answered from the cached immutable view.",
-		func() uint64 { h, _, _ := s.sketch.ViewStats(); return h })
+		func() uint64 { h, _, _ := c.ViewStats(); return h })
 	s.reg.CounterFunc("sketch_view_misses_total", "Queries that found the cached view stale or absent.",
-		func() uint64 { _, m, _ := s.sketch.ViewStats(); return m })
+		func() uint64 { _, m, _ := c.ViewStats(); return m })
 	s.reg.CounterFunc("sketch_view_rebuilds_total", "Query-view reconstructions performed.",
-		func() uint64 { _, _, r := s.sketch.ViewStats(); return r })
+		func() uint64 { _, _, r := c.ViewStats(); return r })
 	if err := s.SetKeyed(KeyedConfig{}); err != nil {
 		return nil, err
 	}
@@ -198,16 +211,16 @@ func (s *Server) describeKeyed() {
 
 // SetKeyed replaces the server's keyed sketch store with one sized by cfg.
 // Call before serving: in-flight keyed requests against the old store are
-// not drained, and previously ingested keys do not carry over. Engine
+// not drained, and previously ingested keys do not carry over. KLL and GK
 // servers have no keyed store and reject the call.
 func (s *Server) SetKeyed(cfg KeyedConfig) error {
-	if s.sketch == nil {
+	if s.Sketch() == nil {
 		return fmt.Errorf("httpapi: keyed store requires an MRL99 server (engine servers serve 501 on the keyed surface)")
 	}
 	if cfg.MaxKeys == 0 {
 		cfg.MaxKeys = DefaultMaxKeys
 	}
-	layout, err := keyed.Solve(s.eps, s.delta)
+	layout, err := keyed.Solve(s.ing.Epsilon(), s.ing.Delta())
 	if err != nil {
 		return err
 	}
@@ -253,79 +266,21 @@ func (s *Server) SetKeyed(cfg KeyedConfig) error {
 }
 
 // Keyed returns the server's keyed sketch store (for in-process use, e.g. a
-// housekeeping loop calling SweepExpired); nil for engine servers.
+// housekeeping loop calling SweepExpired); nil for KLL and GK servers.
 func (s *Server) Keyed() *keyed.Store[string, float64] { return s.keyed }
-
-// NewEngine wraps an already-guarded sketch engine behind the same HTTP
-// surface. The guarded engine may be shared with other in-process users (a
-// cluster worker shipping its windows, say); eps/delta are read from it.
-// The MRL99 engine also works here, but New keeps the richer sharded
-// sketch (per-shard ingest, view-cache counters) for the default stack.
-func NewEngine(g *engine.Guarded) (*Server, error) {
-	if g == nil {
-		return nil, fmt.Errorf("httpapi: nil engine")
-	}
-	s := &Server{
-		eng: g, eps: g.Epsilon(), delta: g.Delta(),
-		maxBody: DefaultMaxBodyBytes,
-		start:   time.Now(),
-		mux:     http.NewServeMux(),
-		reg:     obs.NewRegistry(),
-		logger:  obs.Discard(),
-		clock:   time.Now,
-	}
-	s.routes()
-	s.reg.CounterFunc("sketch_elements_total", "Stream elements consumed by the sketch.", g.Count)
-	s.reg.GaugeFunc("sketch_memory_elements", "Elements resident in sketch buffers (the paper's space bound).",
-		func() float64 { return float64(g.MemoryElements()) })
-	return s, nil
-}
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Sketch returns the underlying concurrent sketch (for in-process use
-// alongside the HTTP surface); nil for engine servers.
-func (s *Server) Sketch() *quantile.Concurrent[float64] { return s.sketch }
-
-// Engine returns the underlying guarded engine; nil for MRL99 servers
-// built with New.
-func (s *Server) Engine() *engine.Guarded { return s.eng }
-
-// addAll, count, quantiles and cdf dispatch to whichever summary backs
-// this server.
-func (s *Server) addAll(vs []float64) {
-	if s.eng != nil {
-		s.eng.AddAll(vs)
-		return
-	}
-	s.sketch.AddAll(vs)
+// Sketch returns the underlying MRL99 sketch (for in-process use
+// alongside the HTTP surface); nil for KLL and GK servers.
+func (s *Server) Sketch() *quantile.Concurrent[float64] {
+	c, _ := s.ing.(*quantile.Concurrent[float64])
+	return c
 }
 
-func (s *Server) count() uint64 {
-	if s.eng != nil {
-		return s.eng.Count()
-	}
-	return s.sketch.Count()
-}
-
-func (s *Server) quantiles(phis []float64) ([]float64, error) {
-	if s.eng != nil {
-		return s.eng.Quantiles(phis)
-	}
-	return s.sketch.Quantiles(phis)
-}
-
-func (s *Server) cdf(v float64) (float64, error) {
-	if s.eng != nil {
-		out, err := s.eng.CDF([]float64{v})
-		if err != nil {
-			return 0, err
-		}
-		return out[0], nil
-	}
-	return s.sketch.CDF(v)
-}
+// Ingest returns the ingest surface the server wraps.
+func (s *Server) Ingest() engine.Ingest { return s.ing }
 
 // Registry returns the registry behind GET /metrics. Co-located components
 // (a cluster worker sharing this server's sketch, say) can register their
@@ -443,7 +398,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	// one shard-lock acquisition per batch instead of per value.
 	batch := scratch.batch[:0]
 	flush := func() {
-		s.addAll(batch)
+		s.ing.AddAll(batch)
 		added += uint64(len(batch))
 		batch = batch[:0]
 	}
@@ -464,7 +419,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parsing body after %d values: %v", added, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"added": added, "total": s.count()})
+	writeJSON(w, http.StatusOK, map[string]uint64{"added": added, "total": s.ing.Count()})
 }
 
 // handleIngest is the wire-speed binary path: a body of slab frames
@@ -498,11 +453,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "frame %d (after %d values): %v", frames+1, added, err)
 			return
 		}
-		s.addAll(vals)
+		s.ing.AddAll(vals)
 		added += uint64(len(vals))
 		frames++
 	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"added": added, "frames": frames, "total": s.count()})
+	writeJSON(w, http.StatusOK, map[string]uint64{"added": added, "frames": frames, "total": s.ing.Count()})
 }
 
 // keyedErrStatus maps keyed-store errors to HTTP statuses: a full store in
@@ -632,7 +587,7 @@ func (s *Server) handleQuantile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	vals, err := s.quantiles(phis)
+	vals, err := s.ing.Quantiles(phis)
 	if err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
@@ -679,7 +634,7 @@ func (s *Server) handleCDF(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	frac, err := s.cdf(v)
+	frac, err := s.ing.CDF(v)
 	if err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
@@ -697,7 +652,7 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 	for i := range phis {
 		phis[i] = float64(i+1) / float64(buckets)
 	}
-	bounds, err := s.quantiles(phis)
+	bounds, err := s.ing.Quantiles(phis)
 	if err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
@@ -705,37 +660,28 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"buckets":    buckets,
 		"boundaries": bounds,
-		"rows":       s.count(),
+		"rows":       s.ing.Count(),
 	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.eng != nil {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"engine":          s.eng.EngineName(),
-			"count":           s.eng.Count(),
-			"memory_elements": s.eng.MemoryElements(),
-			"eps":             s.eps,
-			"delta":           s.delta,
-			"uptime_seconds":  time.Since(s.start).Seconds(),
-		})
-		return
-	}
-	b, k, h := s.sketch.Layout()
-	hits, misses, rebuilds := s.sketch.ViewStats()
 	out := map[string]any{
-		"engine":          engine.MRL99,
-		"count":           s.sketch.Count(),
-		"memory_elements": s.sketch.MemoryElements(),
-		"eps":             s.eps,
-		"delta":           s.delta,
-		"shards":          s.sketch.Shards(),
-		"layout":          map[string]int{"b": b, "k": k, "h": h},
-		"view_cache": map[string]any{
+		"engine":          s.ing.EngineName(),
+		"count":           s.ing.Count(),
+		"memory_elements": s.ing.MemoryElements(),
+		"eps":             s.ing.Epsilon(),
+		"delta":           s.ing.Delta(),
+		"uptime_seconds":  time.Since(s.start).Seconds(),
+	}
+	if c := s.Sketch(); c != nil {
+		b, k, h := c.Layout()
+		hits, misses, rebuilds := c.ViewStats()
+		out["shards"] = c.Shards()
+		out["layout"] = map[string]int{"b": b, "k": k, "h": h}
+		out["view_cache"] = map[string]any{
 			"hits": hits, "misses": misses, "rebuilds": rebuilds,
-			"rebuild_seconds": s.sketch.ViewRebuildSeconds(),
-		},
-		"uptime_seconds": time.Since(s.start).Seconds(),
+			"rebuild_seconds": c.ViewRebuildSeconds(),
+		}
 	}
 	if s.keyed != nil {
 		ks := s.keyed.Stats()

@@ -57,11 +57,11 @@ func TestIngestBinaryFrames(t *testing.T) {
 }
 
 func TestIngestEngineServer(t *testing.T) {
-	e, err := engine.New(engine.KLL, 0.02, 1e-3, 7)
+	e, err := engine.NewIngest(engine.KLL, 0.02, 1e-3, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewEngine(engine.Guard(e))
+	s, err := NewEngine(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/exact"
 	"repro/internal/stream"
 )
@@ -29,8 +30,11 @@ func TestNormalize(t *testing.T) {
 }
 
 func TestNewRejectsUnknown(t *testing.T) {
-	if _, err := New("tdigest", 0.01, 1e-3, 1); err == nil {
-		t.Fatal("New accepted an unknown engine")
+	if _, err := NewIngest("tdigest", 0.01, 1e-3, 0, 1); err == nil {
+		t.Fatal("NewIngest accepted an unknown engine")
+	}
+	if _, err := NewMergeState("tdigest", 0.01, 1e-3, 1, 0); err == nil {
+		t.Fatal("NewMergeState accepted an unknown engine")
 	}
 }
 
@@ -57,9 +61,9 @@ func TestDifferentialVsExact(t *testing.T) {
 		for _, eps := range []float64{0.05, 0.01} {
 			for _, src := range streams(n) {
 				data := stream.Collect(src)
-				e, err := New(name, eps, 1e-3, 7)
+				e, err := NewIngest(name, eps, 1e-3, 0, 7)
 				if err != nil {
-					t.Fatalf("New(%s): %v", name, err)
+					t.Fatalf("NewIngest(%s): %v", name, err)
 				}
 				e.AddAll(data)
 				if e.Count() != uint64(len(data)) {
@@ -80,9 +84,10 @@ func TestDifferentialVsExact(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesCombined is the per-engine merge property: Merge(a, b)
-// must answer within the merged ε·N bound of the union stream — the same
-// window a single sketch fed both streams is held to.
+// TestMergeMatchesCombined is the per-engine merge property: a merge state
+// fed two ingest surfaces' shipments must answer within the merged ε·N
+// bound of the union stream — the same window a single sketch fed both
+// streams is held to.
 func TestMergeMatchesCombined(t *testing.T) {
 	const eps = 0.02
 	n := uint64(30000)
@@ -94,31 +99,39 @@ func TestMergeMatchesCombined(t *testing.T) {
 		dataB := stream.Collect(stream.Zipf(n, 32, 1.2, 1<<20))
 		all := append(append([]float64(nil), dataA...), dataB...)
 
-		a, err := New(name, eps, 1e-3, 51)
+		m, err := NewMergeState(name, eps, 1e-3, 50, 0)
 		if err != nil {
-			t.Fatalf("New(%s): %v", name, err)
+			t.Fatalf("NewMergeState(%s): %v", name, err)
 		}
-		b, err := New(name, eps, 1e-3, 52)
+		for i, data := range [][]float64{dataA, dataB} {
+			ing, err := NewIngest(name, eps, 1e-3, 0, uint64(51+i))
+			if err != nil {
+				t.Fatalf("NewIngest(%s): %v", name, err)
+			}
+			ing.AddAll(data)
+			blob, count, err := ing.ShipAndReset(codec.Float64())
+			if err != nil {
+				t.Fatalf("%s: ShipAndReset: %v", name, err)
+			}
+			if count != n || ing.Count() != 0 {
+				t.Fatalf("%s: shipped count %d != %d, %d left behind", name, count, n, ing.Count())
+			}
+			added, err := m.Merge(blob, count)
+			if err != nil {
+				t.Fatalf("%s: Merge: %v", name, err)
+			}
+			if added != n {
+				t.Fatalf("%s: merged added=%d", name, added)
+			}
+		}
+		if m.Count() != 2*n {
+			t.Fatalf("%s: merged count %d", name, m.Count())
+		}
+		v, err := m.View()
 		if err != nil {
-			t.Fatalf("New(%s): %v", name, err)
+			t.Fatalf("%s: View: %v", name, err)
 		}
-		a.AddAll(dataA)
-		b.AddAll(dataB)
-		blob, count, err := b.Ship()
-		if err != nil {
-			t.Fatalf("%s: Ship: %v", name, err)
-		}
-		if count != n {
-			t.Fatalf("%s: shipped count %d != %d", name, count, n)
-		}
-		added, err := a.Merge(blob, count)
-		if err != nil {
-			t.Fatalf("%s: Merge: %v", name, err)
-		}
-		if added != n || a.Count() != 2*n {
-			t.Fatalf("%s: merged added=%d count=%d", name, added, a.Count())
-		}
-		vals, err := a.Quantiles(phis)
+		vals, err := v.Quantiles(phis)
 		if err != nil {
 			t.Fatalf("%s: Quantiles: %v", name, err)
 		}
@@ -131,16 +144,17 @@ func TestMergeMatchesCombined(t *testing.T) {
 }
 
 // TestCrossEngineMergeRefused: shipping any engine's blob into any other
-// engine must fail with an incompatibility, and must not mutate the target.
+// engine's merge state must fail with an incompatibility, and must not
+// mutate the target.
 func TestCrossEngineMergeRefused(t *testing.T) {
 	blobs := map[string][]byte{}
 	for _, name := range Names() {
-		e, err := New(name, 0.02, 1e-3, 3)
+		e, err := NewIngest(name, 0.02, 1e-3, 0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.AddAll(stream.Collect(stream.Uniform(2000, 4)))
-		blob, _, err := e.Ship()
+		blob, _, err := e.ShipAndReset(codec.Float64())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +165,7 @@ func TestCrossEngineMergeRefused(t *testing.T) {
 			if from == to {
 				continue
 			}
-			e, err := New(to, 0.02, 1e-3, 3)
+			e, err := NewMergeState(to, 0.02, 1e-3, 3, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,21 +183,32 @@ func TestCrossEngineMergeRefused(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestorePerEngine: every engine round-trips its state and
-// continues answering within ε.
+// TestCheckpointRestorePerEngine: every engine's merge state round-trips
+// its state and continues answering within ε.
 func TestCheckpointRestorePerEngine(t *testing.T) {
 	for _, name := range Names() {
 		data := stream.Collect(stream.Uniform(20000, 17))
-		e, err := New(name, 0.02, 1e-3, 9)
+		ing, err := NewIngest(name, 0.02, 1e-3, 0, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.AddAll(data)
+		ing.AddAll(data)
+		blob, count, err := ing.ShipAndReset(codec.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewMergeState(name, 0.02, 1e-3, 9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Merge(blob, count); err != nil {
+			t.Fatal(err)
+		}
 		ck, err := e.Checkpoint()
 		if err != nil {
 			t.Fatalf("%s: Checkpoint: %v", name, err)
 		}
-		r, err := New(name, 0.02, 1e-3, 1)
+		r, err := NewMergeState(name, 0.02, 1e-3, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +218,11 @@ func TestCheckpointRestorePerEngine(t *testing.T) {
 		if r.Count() != e.Count() {
 			t.Fatalf("%s: restored count %d != %d", name, r.Count(), e.Count())
 		}
-		vals, err := r.Quantiles(phis)
+		v, err := r.View()
+		if err != nil {
+			t.Fatalf("%s: View after restore: %v", name, err)
+		}
+		vals, err := v.Quantiles(phis)
 		if err != nil {
 			t.Fatalf("%s: Quantiles after restore: %v", name, err)
 		}
@@ -205,15 +234,15 @@ func TestCheckpointRestorePerEngine(t *testing.T) {
 	}
 }
 
-// TestGuardedConcurrent hammers a guarded engine from writers and readers
-// at once; run under -race this is the engine-layer thread-safety test.
+// TestGuardedConcurrent hammers every engine's ingest surface from writers
+// and readers at once; run under -race this is the engine-layer
+// thread-safety test.
 func TestGuardedConcurrent(t *testing.T) {
 	for _, name := range Names() {
-		e, err := New(name, 0.05, 1e-2, 5)
+		g, err := NewIngest(name, 0.05, 1e-2, 0, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := Guard(e)
 		g.AddAll(stream.Collect(stream.Uniform(1000, 6)))
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -247,7 +276,7 @@ func TestGuardedConcurrent(t *testing.T) {
 // TestGuardedViewCache: two queries with no intervening writes must reuse
 // the same view.
 func TestGuardedViewCache(t *testing.T) {
-	e, err := New(KLL, 0.02, 1e-3, 1)
+	e, err := newEngine(KLL, 0.02, 1e-3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +293,7 @@ func TestGuardedViewCache(t *testing.T) {
 	if v1 != v2 {
 		t.Fatal("view rebuilt with no intervening writes")
 	}
-	g.Add(3.14)
+	g.AddAll([]float64{3.14})
 	v3, err := g.View()
 	if err != nil {
 		t.Fatal(err)

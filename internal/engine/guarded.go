@@ -3,11 +3,12 @@ package engine
 import (
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/view"
 )
 
 // Guarded wraps an Engine with a mutex and a version-keyed view cache,
-// giving serving layers (httpapi, cluster workers) a goroutine-safe handle.
+// making it an Ingest for the serving layers (httpapi, cluster workers).
 // Because the cached view is immutable, a query against an unchanged
 // engine is a lock acquisition plus a binary search — no rebuild.
 type Guarded struct {
@@ -21,13 +22,6 @@ type Guarded struct {
 // Guard wraps e. The engine must not be used directly afterwards.
 func Guard(e Engine) *Guarded { return &Guarded{e: e} }
 
-// Add feeds one element.
-func (g *Guarded) Add(v float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.e.Add(v)
-}
-
 // AddAll feeds a batch.
 func (g *Guarded) AddAll(vs []float64) {
 	g.mu.Lock()
@@ -35,18 +29,12 @@ func (g *Guarded) AddAll(vs []float64) {
 	g.e.AddAll(vs)
 }
 
-// Ship cuts and serializes the current epoch.
-func (g *Guarded) Ship() ([]byte, uint64, error) {
+// ShipAndReset cuts and serializes the current epoch. KLL and GK frames
+// carry raw float64, so the element codec is unused.
+func (g *Guarded) ShipAndReset(codec.Element[float64]) ([]byte, uint64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.e.Ship()
-}
-
-// Merge folds a peer blob in.
-func (g *Guarded) Merge(blob []byte, want uint64) (uint64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.e.Merge(blob, want)
 }
 
 // View returns the engine's current immutable view, rebuilding only when
@@ -63,9 +51,9 @@ func (g *Guarded) viewLocked() (*view.View[float64], error) {
 		if err != nil {
 			return nil, err
 		}
-		// An engine may rearrange itself while materializing (MRL99
-		// folds, GK flushes); key the cache on the version after the
-		// build so the rearrangement does not read as staleness.
+		// An engine may rearrange itself while materializing (GK
+		// flushes); key the cache on the version after the build so the
+		// rearrangement does not read as staleness.
 		g.cached, g.cachedV = built, g.e.Version()
 	}
 	return g.cached, nil
@@ -73,9 +61,7 @@ func (g *Guarded) viewLocked() (*view.View[float64], error) {
 
 // Quantiles answers a batch of φ-quantile queries from the cached view.
 func (g *Guarded) Quantiles(phis []float64) ([]float64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	v, err := g.viewLocked()
+	v, err := g.View()
 	if err != nil {
 		return nil, err
 	}
@@ -84,42 +70,21 @@ func (g *Guarded) Quantiles(phis []float64) ([]float64, error) {
 
 // Quantile answers a single φ-quantile query from the cached view.
 func (g *Guarded) Quantile(phi float64) (float64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	v, err := g.viewLocked()
+	v, err := g.View()
 	if err != nil {
 		return 0, err
 	}
 	return v.Quantile(phi)
 }
 
-// CDF answers a batch of rank queries from the cached view.
-func (g *Guarded) CDF(xs []float64) ([]float64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	v, err := g.viewLocked()
+// CDF answers a rank query from the cached view: the fraction of elements
+// ≤ x.
+func (g *Guarded) CDF(x float64) (float64, error) {
+	v, err := g.View()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = v.CDF(x)
-	}
-	return out, nil
-}
-
-// Checkpoint serializes the complete engine state.
-func (g *Guarded) Checkpoint() ([]byte, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.e.Checkpoint()
-}
-
-// Restore replaces the engine state from a checkpoint.
-func (g *Guarded) Restore(blob []byte) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.e.Restore(blob)
+	return v.CDF(x), nil
 }
 
 // Count returns the number of elements consumed.
@@ -137,29 +102,10 @@ func (g *Guarded) MemoryElements() int {
 }
 
 // Epsilon returns the engine's rank-error target.
-func (g *Guarded) Epsilon() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.e.Epsilon()
-}
+func (g *Guarded) Epsilon() float64 { return g.e.Epsilon() }
 
 // Delta returns the engine's failure-probability target.
-func (g *Guarded) Delta() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.e.Delta()
-}
-
-// Version returns the wrapped engine's mutation counter.
-func (g *Guarded) Version() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.e.Version()
-}
+func (g *Guarded) Delta() float64 { return g.e.Delta() }
 
 // EngineName returns the wrapped engine's registry name.
-func (g *Guarded) EngineName() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.e.EngineName()
-}
+func (g *Guarded) EngineName() string { return g.e.EngineName() }

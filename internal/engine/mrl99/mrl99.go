@@ -1,251 +1,138 @@
-// Package mrl99 adapts the repo's native MRL99 collapse-tree stack to the
-// pluggable engine surface. It pairs the single-stream unknown-N sketch
-// (ingest side) with a Section 6 merge coordinator (shipment side): local
-// elements accumulate in the core sketch and fold into the coordinator —
-// via the paper's Ship operation — whenever a view, shipment or checkpoint
-// needs the combined state. Blobs are the existing shipment/coordinator
-// codec frames wrapped in an engine frame, so cross-engine feeds are
-// refused by tag before any buffer decoding happens.
+// Package mrl99 is the merge half of the paper's MRL99 engine: a Section 6
+// coordinator (parallel.Coordinator) behind the engine.MergeState
+// contract. The ingest half is the sharded quantile.Concurrent sketch
+// itself. Shipments are raw codec.MarshalShipment frames and checkpoints
+// raw codec.MarshalCoordinator frames, so every byte on the wire and on
+// disk is the native stack's own.
 package mrl99
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/optimize"
 	"repro/internal/parallel"
 	"repro/internal/view"
 )
 
-// Name tags this engine's frames.
+// Name is this engine's registry name.
 const Name = "mrl99"
 
-// Sketch is the MRL99 engine adapter. It is not safe for concurrent use;
-// wrap it in engine.Guard for serving layers.
-type Sketch struct {
-	eps, delta float64
-	seed       uint64
-	b, k, h    int
-
-	sk    *core.Sketch[float64]
+// MergeState merges MRL99 shipments through a Section 6 coordinator. It
+// is not safe for concurrent use; cluster.Coordinator holds it under its
+// mutex.
+type MergeState struct {
+	k, b  int
+	seed  uint64
+	level int
+	// gen counts Ship cuts; each cut reseeds the fresh coordinator, so
+	// every window's sampling decisions are independent yet replayable.
+	gen   uint64
 	coord *parallel.Coordinator[float64]
-
-	// gen counts folds and ships; it derives fresh sub-seeds so every
-	// epoch's sampling decisions are independent yet replayable.
-	gen     uint64
-	version uint64
 }
 
-// New returns an MRL99 engine with the (b, k, h) layout the optimizer picks
-// for (ε, δ).
-func New(eps, delta float64, seed uint64) (*Sketch, error) {
+// NewMergeState returns an empty merge state with the (b, k) layout the
+// optimizer picks for (ε, δ), stamping level into its checkpoints.
+func NewMergeState(eps, delta float64, seed uint64, level int) (*MergeState, error) {
 	p, err := optimize.UnknownN(eps, delta)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sketch{eps: eps, delta: delta, seed: seed, b: p.B, k: p.K, h: p.H}
-	if s.sk, err = s.freshSketch(); err != nil {
+	m := &MergeState{k: p.K, b: p.B, seed: seed, level: level}
+	if m.coord, err = m.fresh(); err != nil {
 		return nil, err
 	}
-	if s.coord, err = s.freshCoordinator(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return m, nil
 }
 
-func (s *Sketch) freshSketch() (*core.Sketch[float64], error) {
-	return core.NewSketch[float64](core.Config{
-		B: s.b, K: s.k, H: s.h,
-		Seed: s.seed + s.gen*0x9e3779b97f4a7c15 + 1,
-	})
-}
-
-func (s *Sketch) freshCoordinator() (*parallel.Coordinator[float64], error) {
-	return parallel.NewCoordinator[float64](s.k, s.b, s.seed^s.gen^0x51ed)
-}
-
-// fold ships the local sketch's buffers into the merge coordinator and
-// starts a fresh fill epoch. It is how the adapter reaches one queryable,
-// serializable representation; folding never changes the answerable
-// contents, only their arrangement.
-func (s *Sketch) fold() error {
-	if s.sk.Count() == 0 {
-		return nil
-	}
-	if err := s.coord.Receive(parallel.Ship(s.sk)); err != nil {
-		return err
-	}
-	s.gen++
-	var err error
-	s.sk, err = s.freshSketch()
-	return err
-}
-
-// Add feeds one element.
-func (s *Sketch) Add(v float64) {
-	s.version++
-	s.sk.Add(v)
-}
-
-// AddAll feeds a slice of elements through the bulk skip-sampling path.
-func (s *Sketch) AddAll(vs []float64) {
-	if len(vs) == 0 {
-		return
-	}
-	s.version++
-	s.sk.AddAll(vs)
-}
-
-// Count returns the number of elements consumed.
-func (s *Sketch) Count() uint64 { return s.sk.Count() + s.coord.Count() }
-
-// MemoryElements returns the allocated element slots across both halves.
-func (s *Sketch) MemoryElements() int {
-	return s.sk.MemoryElements() + s.coord.MemoryElements()
-}
-
-// Epsilon returns the rank-error target the layout was optimized for.
-func (s *Sketch) Epsilon() float64 { return s.eps }
-
-// Delta returns the failure-probability target the layout was optimized for.
-func (s *Sketch) Delta() float64 { return s.delta }
-
-// Version returns a monotonic counter bumped by every mutation; cached
-// views key on it.
-func (s *Sketch) Version() uint64 { return s.version }
-
-// EngineName returns the registry name of this engine.
-func (s *Sketch) EngineName() string { return Name }
-
-// Layout exposes the optimizer's (b, k, h) choice.
-func (s *Sketch) Layout() (b, k, h int) { return s.b, s.k, s.h }
-
-// View materializes the combined contents as an immutable query view.
-func (s *Sketch) View() (*view.View[float64], error) {
-	if s.Count() == 0 {
-		return nil, fmt.Errorf("mrl99: query with no data")
-	}
-	if err := s.fold(); err != nil {
-		return nil, err
-	}
-	return s.coord.View()
-}
-
-// Quantiles answers a batch of φ-quantile queries.
-func (s *Sketch) Quantiles(phis []float64) ([]float64, error) {
-	v, err := s.View()
+func (m *MergeState) fresh() (*parallel.Coordinator[float64], error) {
+	c, err := parallel.NewCoordinator[float64](m.k, m.b, m.seed^(m.gen*0x9e3779b97f4a7c15))
 	if err != nil {
 		return nil, err
 	}
-	return v.Quantiles(phis)
+	c.SetLevel(m.level)
+	return c, nil
 }
 
-// CDF answers a batch of rank queries: the fraction of elements ≤ each x.
-func (s *Sketch) CDF(xs []float64) ([]float64, error) {
-	v, err := s.View()
+// Merge decodes a shipment blob and admits its buffers through the
+// Section 6 merge rules. A blob of another frame kind (another engine's)
+// or another buffer size is an incompatibility; a failed admission rolls
+// the coordinator back to its state before the call.
+func (m *MergeState) Merge(blob []byte, want uint64) (uint64, error) {
+	sh, err := codec.UnmarshalShipment(blob, codec.Float64())
 	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = v.CDF(x)
-	}
-	return out, nil
-}
-
-// Ship collapses the combined contents into one shipment blob (at most one
-// full buffer plus the partial accumulator), returns it with the element
-// count it stands for, and resets the engine for the next epoch.
-func (s *Sketch) Ship() ([]byte, uint64, error) {
-	if s.Count() == 0 {
-		return nil, 0, nil
-	}
-	if err := s.fold(); err != nil {
-		return nil, 0, err
-	}
-	sh := s.coord.Ship()
-	inner, err := codec.MarshalShipment(sh, codec.Float64())
-	if err != nil {
-		return nil, 0, err
-	}
-	s.gen++
-	if s.coord, err = s.freshCoordinator(); err != nil {
-		return nil, 0, err
-	}
-	s.version++
-	return codec.MarshalEngineFrame(Name, inner), sh.Count, nil
-}
-
-// Merge decodes a blob produced by another MRL99 engine's Ship and admits
-// its buffers through the Section 6 merge rules. The blob is fully decoded
-// before any mutation. want, when nonzero, is the element count the sender
-// claimed; a disagreeing blob is rejected. Returns the merged-in count.
-func (s *Sketch) Merge(blob []byte, want uint64) (uint64, error) {
-	inner, err := codec.UnmarshalEngineFrame(blob, Name)
-	if err != nil {
-		return 0, err
-	}
-	sh, err := codec.UnmarshalShipment[float64](inner, codec.Float64())
-	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("decoding shipment: %w", err)
 	}
 	if want != 0 && sh.Count != want {
-		return 0, fmt.Errorf("mrl99: envelope count %d != shipment count %d", want, sh.Count)
+		return 0, fmt.Errorf("envelope count %d != shipment count %d", want, sh.Count)
 	}
-	if err := s.coord.Receive(sh); err != nil {
+	// Receive mutates state before it can fail (a foreign buffer size, a
+	// pathological shipment), so snapshot first and roll back on error.
+	undo := m.coord.Snapshot()
+	if err := m.coord.Receive(sh); err != nil {
+		if rb, rerr := parallel.RestoreCoordinator(undo); rerr == nil {
+			m.coord = rb
+		}
 		return 0, &compatError{err.Error()}
 	}
-	s.version++
 	return sh.Count, nil
 }
 
-// Checkpoint folds and serializes the complete engine state: the fold
-// generation plus the coordinator snapshot (tree, B0, RNG).
-func (s *Sketch) Checkpoint() ([]byte, error) {
-	if err := s.fold(); err != nil {
-		return nil, err
+// View materializes the merged contents as an immutable query view.
+func (m *MergeState) View() (*view.View[float64], error) { return m.coord.View() }
+
+// Ship collapses the merged contents into one shipment blob (at most one
+// full buffer plus the partial accumulator) and installs a fresh, reseeded
+// coordinator in its place.
+func (m *MergeState) Ship() ([]byte, uint64, error) {
+	if m.coord.Count() == 0 {
+		return nil, 0, nil
 	}
-	inner, err := codec.MarshalCoordinator(s.coord.Snapshot(), codec.Float64())
+	m.gen++
+	fresh, err := m.fresh()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	payload := binary.AppendUvarint(nil, s.gen)
-	payload = append(payload, inner...)
-	return codec.MarshalEngineFrame(Name, payload), nil
+	sh := m.coord.Ship() // consumes the old coordinator
+	m.coord = fresh
+	blob, err := codec.MarshalShipment(sh, codec.Float64())
+	if err != nil {
+		return nil, 0, err
+	}
+	return blob, sh.Count, nil
 }
 
-// Restore replaces the engine state with a checkpoint previously produced
-// by Checkpoint.
-func (s *Sketch) Restore(blob []byte) error {
-	payload, err := codec.UnmarshalEngineFrame(blob, Name)
+// Checkpoint serializes the coordinator (tree, B0, RNG and level stamp).
+func (m *MergeState) Checkpoint() ([]byte, error) {
+	return codec.MarshalCoordinator(m.coord.Snapshot(), codec.Float64())
+}
+
+// Restore replaces the coordinator with one from a Checkpoint blob.
+func (m *MergeState) Restore(blob []byte) error {
+	st, err := codec.UnmarshalCoordinator(blob, codec.Float64())
 	if err != nil {
 		return err
-	}
-	gen, n := binary.Uvarint(payload)
-	if n <= 0 {
-		return fmt.Errorf("mrl99: bad generation varint")
-	}
-	st, err := codec.UnmarshalCoordinator[float64](payload[n:], codec.Float64())
-	if err != nil {
-		return err
-	}
-	if st.K != s.k {
-		return &compatError{fmt.Sprintf("mrl99: checkpoint buffer size %d != layout %d", st.K, s.k)}
 	}
 	coord, err := parallel.RestoreCoordinator(st)
 	if err != nil {
 		return err
 	}
-	s.gen = gen
-	s.coord = coord
-	if s.sk, err = s.freshSketch(); err != nil {
-		return err
-	}
-	s.version++
+	m.coord = coord
 	return nil
 }
+
+// Count returns the element count merged so far.
+func (m *MergeState) Count() uint64 { return m.coord.Count() }
+
+// MemoryElements returns the element slots resident in the merge tree and
+// B0.
+func (m *MergeState) MemoryElements() int { return m.coord.MemoryElements() }
+
+// MergeHeight returns h′, the merge tree's height.
+func (m *MergeState) MergeHeight() int { return m.coord.MergeHeight() }
+
+// Layout returns the buffer layout: b buffers of k elements.
+func (m *MergeState) Layout() (b, k int) { return m.b, m.k }
 
 // compatError marks a permanent layout mismatch (engine.Incompatible
 // reports true for it).

@@ -705,40 +705,38 @@ func Run(cfg Config) (Report, error) {
 	}
 
 	// Per-engine rows: the same unknown-N ingest and cached-query workload
-	// through each pluggable backend, so EXPERIMENTS.md can table
-	// MRL99-vs-KLL-vs-GK speed next to the conformance grid's accuracy.
+	// through each engine's ingest surface — the one httpapi and cluster
+	// workers serve (for mrl99 the sharded Concurrent sketch, so these two
+	// rows repeat the concurrent and query-cached-phi rows) — so
+	// EXPERIMENTS.md can table MRL99-vs-KLL-vs-GK speed next to the
+	// conformance grid's accuracy.
 	engData := data
 	if nFor(FamilyEngine) != nFor(FamilyIngest) {
 		engData = stream.Collect(stream.Uniform(uint64(nFor(FamilyEngine)), 0xbe9c4))
 	}
 	for _, name := range cfg.Engines {
-		var e engine.Engine
+		var e engine.Ingest
 		addRow(FamilyEngine, "engine-ingest-"+name, len(engData), func() {
-			e, err = engine.New(name, eps, delta, 1)
+			e, err = engine.NewIngest(name, eps, delta, 0, 1)
 		}, func() { e.AddAll(engData) })
 		if err != nil {
 			return rep, err
 		}
 
-		// Cached queries through the Guarded wrapper — the serving path
-		// httpapi and the coordinator actually run.
-		var g *engine.Guarded
+		var q engine.Ingest
 		const engQueries = 1 << 16
 		addRow(FamilyEngine, "engine-query-"+name, engQueries, func() {
-			if g == nil {
-				qe, qerr := engine.New(name, eps, delta, 2)
-				if qerr != nil {
-					err = qerr
+			if q == nil {
+				if q, err = engine.NewIngest(name, eps, delta, 0, 2); err != nil {
 					return
 				}
-				qe.AddAll(engData)
-				g = engine.Guard(qe)
+				q.AddAll(engData)
 			}
-			_, err = g.Quantile(0.5) // warm the view cache outside the timing
+			_, err = q.Quantile(0.5) // warm the view cache outside the timing
 		}, func() {
 			for i := 0; i < engQueries; i++ {
 				phi := float64(i&1023+1) / 1024
-				if _, qerr := g.Quantile(phi); qerr != nil {
+				if _, qerr := q.Quantile(phi); qerr != nil {
 					err = qerr
 					return
 				}
