@@ -529,6 +529,13 @@ func TestShipErrorsAreStructured(t *testing.T) {
 		}
 		return Envelope{Worker: "w", Epoch: 1, Eps: testEps, Delta: testDelta, Count: count, Blob: blob}
 	}
+	// A KLL blob in an untagged (mrl99) envelope gets past the engine-tag
+	// check; the codec then finds a well-formed frame of the wrong kind,
+	// a permanent incompatibility.
+	foreignBlob := func() Envelope {
+		blob, count := childShipment(t, "kll", shuffled(0, 500, 3), 3)
+		return Envelope{Worker: "w", Epoch: 1, Eps: testEps, Delta: testDelta, Count: count, Blob: blob}
+	}
 
 	cases := []struct {
 		name    string
@@ -547,6 +554,7 @@ func TestShipErrorsAreStructured(t *testing.T) {
 		{"delta mismatch", marshal(func() Envelope { env := valid(); env.Delta = 0.5; return env }()),
 			http.StatusConflict, "delta=0.5"},
 		{"k mismatch", marshal(mismatchedK()), http.StatusConflict, "buffer size"},
+		{"foreign engine blob", marshal(foreignBlob()), http.StatusConflict, "frame kind"},
 		{"count mismatch", marshal(func() Envelope { env := valid(); env.Count += 7; return env }()),
 			http.StatusBadRequest, "count"},
 		{"missing worker id", marshal(func() Envelope { env := valid(); env.Worker = ""; return env }()),
